@@ -8,7 +8,7 @@
 // Query protocol (newline-delimited over TCP, one-line JSON replies):
 //
 //	SCHED <apID>            schedule for the AP's fresh clients
-//	HEALTH                  uptime, table occupancy and serving counters
+//	HEALTH                  uptime, AP/client occupancy and serving counters
 //	HANDOFF <base64>        install a session transferred from a peer daemon
 //	MOVE <station> <addr>   hand a station's session off to a peer daemon
 //	EPOCH <n>               record the gateway tier's ring epoch
@@ -33,7 +33,7 @@
 // With -admin the daemon additionally serves an HTTP endpoint:
 //
 //	/metrics       Prometheus text exposition (counters, ladder histograms)
-//	/healthz       JSON liveness with table occupancy
+//	/healthz       JSON liveness with AP/client occupancy
 //	/debug/pprof/  live profiling
 package main
 
@@ -61,7 +61,7 @@ func main() {
 		pktBits  = flag.Float64("packet-bits", 12000, "uplink packet size in bits")
 		powerCtl = flag.Bool("power-control", false, "enable §5.2 per-pair power reduction")
 		ttl      = flag.Duration("ttl", 30*time.Second, "client report staleness bound")
-		maxCli   = flag.Int("max-clients", 64, "per-AP client table bound")
+		maxCli   = flag.Int("max-clients", 64, "stations scheduled per AP (the most recently seen fresh ones)")
 		blossomB = flag.Duration("blossom-budget", 50*time.Millisecond, "optimal-matching time budget")
 		greedyB  = flag.Duration("greedy-budget", 10*time.Millisecond, "greedy-matching time budget")
 		deadline = flag.Duration("query-deadline", 250*time.Millisecond, "overall per-query deadline")

@@ -575,3 +575,28 @@ func TestGatewayChaosDeterministicDrops(t *testing.T) {
 		t.Fatalf("chaos run exercised nothing: %v", a)
 	}
 }
+
+// TestGatewayAdmitsRebootedStation: a station that reboots and restarts
+// its sequence counter inside the reset window gets through the gateway,
+// exactly as the shard's own session.SeqAdvance would admit it, and its
+// next report advances from the new epoch.
+func TestGatewayAdmitsRebootedStation(t *testing.T) {
+	tr := startTier(t, 1, func(cfg *Config) { cfg.Replication = 1 })
+	sendReports(t, tr.gw, []schedd.Report{
+		{AP: 1, Station: 7, Seq: 500, SNRMilliDB: 15000},
+		{AP: 1, Station: 7, Seq: 1, SNRMilliDB: 15500},
+		{AP: 1, Station: 7, Seq: 2, SNRMilliDB: 16000},
+		{AP: 1, Station: 7, Seq: 2, SNRMilliDB: 16000}, // a true replay
+	})
+	ev := tr.gw.IngestEvents()
+	if got, dup := ev.Get("accepted"), ev.Get("dup"); got != 3 || dup != 1 {
+		t.Fatalf("accepted %d, dup %d; want 3 accepted and only the replay a dup", got, dup)
+	}
+	shard := tr.shards["shard-a"]
+	waitFor(t, 5*time.Second, "shard to apply all three reports", func() bool {
+		return shard.Counters().Get("reports_ok") == 3
+	})
+	if st, ok := shard.Session(7); !ok || st.Epoch != 1 || st.Seq != 2 {
+		t.Fatalf("shard session = %+v (ok %v), want epoch 1 seq 2", st, ok)
+	}
+}

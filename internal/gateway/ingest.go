@@ -5,6 +5,7 @@ import (
 	"net"
 
 	"repro/internal/schedd"
+	"repro/internal/session"
 )
 
 // replicaAPBit marks a forwarded report as a replica copy: the gateway
@@ -99,10 +100,10 @@ func (s *Server) ingest(pkt []byte) {
 }
 
 // admit applies the gateway's dedup and bound checks and keeps the
-// station→AP index current. Sequence comparison is serial-number
-// arithmetic (RFC 1982 style, like the daemon's table): a report advances
-// if its sequence is ahead of the last accepted one by less than half the
-// number space, so reboots that wrap the counter still get through.
+// station→AP index current. Sequence comparison is the shards' own
+// session.SeqAdvance: RFC 1982 serial arithmetic, so a wrapped counter
+// still advances, plus the reboot reset window, so a restarted station is
+// not locked out here while the shards would admit it.
 func (s *Server) admit(r schedd.Report) bool {
 	s.idxMu.Lock()
 	defer s.idxMu.Unlock()
@@ -117,7 +118,7 @@ func (s *Server) admit(r schedd.Report) bool {
 		s.ingestEvents.Inc("accepted")
 		return true
 	}
-	if diff := r.Seq - rec.seq; diff == 0 || diff >= 1<<31 {
+	if adv, _ := session.SeqAdvance(rec.seq, r.Seq); !adv {
 		s.ingestEvents.Inc("dup")
 		return false
 	}

@@ -16,11 +16,11 @@ import (
 // (host:port of its query listener). Attempts carry a per-attempt deadline
 // and retry under capped exponential backoff with jitter; the transfer ID
 // makes retries idempotent at the peer, so a reply lost on the wire cannot
-// double-install the session. On success the session and the station's
-// table entry are removed locally. When every attempt fails the session
-// stays local and the error is returned: the station simply starts cold at
-// the peer, which is the designed degradation, and the abandonment is
-// counted.
+// double-install the session. On success the session is removed locally,
+// which also stops it being scheduled here. When every attempt fails the
+// session stays local and the error is returned: the station simply starts
+// cold at the peer, which is the designed degradation, and the abandonment
+// is counted.
 func (s *Server) Handoff(ctx context.Context, station uint32, addr string) (uint64, error) {
 	st, ok := s.sessions.Get(station)
 	if !ok {
@@ -51,7 +51,7 @@ func (s *Server) Handoff(ctx context.Context, station uint32, addr string) (uint
 		}
 		// Acknowledged: the peer owns the session now.
 		s.sessions.Remove(station, transfer, s.cfg.now())
-		s.table.remove(st.AP, station)
+		s.syncWALFailures()
 		s.sessionEvents.Inc("handoff_ok")
 		return transfer, nil
 	}

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -366,5 +367,55 @@ func TestDurabilityMatrix(t *testing.T) {
 	}
 	if len(clean) != 4 {
 		t.Fatalf("recovered %d sessions, want 4", len(clean))
+	}
+}
+
+// TestRestartKeepsServedSet: an AP holding more sessions than MaxClients,
+// some of them stale, answers the same SCHED after a graceful restart and
+// after a crash. Recovery must not let stale sessions crowd out the fresh
+// ones the AP was serving.
+func TestRestartKeepsServedSet(t *testing.T) {
+	for _, stop := range []struct {
+		name string
+		fn   func(*Server)
+	}{
+		{"graceful", func(s *Server) { shutdown(t, s) }},
+		{"kill", func(s *Server) { s.Kill() }},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fc := &fakeClock{t: time.Now()}
+			cfg := Config{DataDir: dir, MaxClients: 4, TTL: 300 * time.Millisecond, now: fc.Now}
+			r := &storeRig{fc: fc}
+			var err error
+			if r.s, err = Start(cfg); err != nil {
+				t.Fatal(err)
+			}
+			for sta := uint32(1); sta <= 4; sta++ {
+				r.report(t, Report{AP: 1, Station: sta, Seq: 1, SNRMilliDB: 10_000 + 1_000*int32(sta)})
+			}
+			fc.Advance(400 * time.Millisecond)
+			r.report(t, Report{AP: 1, Station: 5, Seq: 1, SNRMilliDB: 30_000})
+			r.report(t, Report{AP: 1, Station: 6, Seq: 1, SNRMilliDB: 15_000})
+			c := dialQuery(t, r.s)
+			before := schedJSON(t, c.roundTrip(t, "SCHED 1"))
+			c.close()
+			stop.fn(r.s)
+
+			s2, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, s2)
+			c2 := dialQuery(t, s2)
+			defer c2.close()
+			after := schedJSON(t, c2.roundTrip(t, "SCHED 1"))
+			if before != after {
+				t.Fatalf("schedule changed across restart:\n before %s\n after  %s", before, after)
+			}
+			if !strings.Contains(after, `"clients":2`) {
+				t.Fatalf("want stations 5 and 6 served, got %s", after)
+			}
+		})
 	}
 }

@@ -34,12 +34,14 @@ type Config struct {
 	// Sched configures cost computation; Channel and PacketBits are
 	// defaulted to Wifi20MHz / 12000 bits when zero.
 	Sched sched.Options
-	// TTL is the client staleness bound: reports older than this are
-	// evicted and never scheduled. Default 30s.
+	// TTL is the client staleness bound: a station not heard from for
+	// longer is never scheduled. Default 30s.
 	TTL time.Duration
-	// MaxClients bounds the per-AP client table. Default 64.
+	// MaxClients bounds the stations one AP schedules: its MaxClients most
+	// recently seen fresh ones. Default 64.
 	MaxClients int
-	// MaxAPs bounds how many APs the table tracks. Default 1024.
+	// MaxAPs bounds how many APs may hold a fresh station; a report that
+	// would add one more is dropped. Default 1024.
 	MaxAPs int
 	// QueueDepth bounds the ingest queue between the UDP reader and the
 	// decode worker; overflow sheds oldest-first. Default 1024.
@@ -90,7 +92,7 @@ type Config struct {
 	// daemon is standalone; the fields are still served.
 	ShardID string
 
-	// now is the daemon's clock: table staleness, uptime, read deadlines,
+	// now is the daemon's clock: client staleness, uptime, read deadlines,
 	// rung timing. A test hook — every time read in the daemon goes
 	// through it, so a fake clock sees exactly the daemon's time
 	// arithmetic.
@@ -190,7 +192,6 @@ type Server struct {
 	ladderHist [3]*obs.Histogram
 	// queryHist is the end-to-end SCHED latency (snapshot + ladder).
 	queryHist *obs.Histogram
-	table     *clientTable
 	started   time.Time
 
 	udp *net.UDPConn
@@ -202,11 +203,16 @@ type Server struct {
 	killed   atomic.Bool // simulated crash: skip the shutdown drain
 	done     chan struct{}
 
-	// sessions is the durable session layer; sessionEvents counts its
-	// lifecycle outcomes and recoveryHist times startup recovery.
+	// sessions is the one store of per-station state, read under policy
+	// (the TTL and budgets from cfg); sessionEvents counts its lifecycle
+	// outcomes and recoveryHist times startup recovery. walSeen holds the
+	// WAL failure totals already added to sessionEvents, under walMu.
 	sessions      *session.Manager
+	policy        session.Policy
 	sessionEvents *obs.Group
 	recoveryHist  *obs.Histogram
+	walMu         sync.Mutex
+	walSeen       [2]int64
 	// transferBase ^ transferSeq yields unique handoff transfer IDs; the
 	// random base keeps IDs from colliding across daemon restarts.
 	transferBase uint64
@@ -258,10 +264,10 @@ func counterNames() []string {
 	names = append(names,
 		"ingest_datagrams", // datagrams read off the socket
 		"ingest_shed",      // datagrams shed by the bounded queue (oldest first)
-		"reports_ok",       // reports folded into the table
+		"reports_ok",       // reports folded into the session store
 		"drop_duplicate",   // reports rejected by sequence-number dedup
 		"drop_aps_full",    // reports for a new AP past the AP budget
-		"table_evictions",  // fresh clients displacing stale ones at a full AP
+		"table_evictions",  // admissions that pushed a station out of a full AP's served set
 		"queries",          // SCHED commands received
 		"served_blossom",   // queries answered at ladder level 0
 		"served_greedy",    // level 1
@@ -280,17 +286,19 @@ func counterNames() []string {
 // (sicschedd_session_total{event=...}).
 func sessionEventNames() []string {
 	return []string{
-		"cold",              // a station seen for the first time
-		"resume",            // a reconnect resumed its session (reboot or gap)
-		"roam",              // a station moved APs with its session intact
-		"handoff_ok",        // outbound transfer acknowledged by the peer
-		"handoff_retry",     // an outbound transfer attempt was retried
-		"handoff_abandoned", // retries exhausted; peer gets a cold session
-		"handoff_in",        // inbound transfer installed
-		"handoff_dup",       // inbound transfer replay suppressed by its ID
-		"wal_replay",        // WAL records replayed at startup
-		"wal_torn",          // a torn WAL tail was truncated at startup
-		"snapshot_restore",  // sessions restored from the startup snapshot
+		"cold",               // a station seen for the first time
+		"resume",             // a reconnect resumed its session (reboot or gap)
+		"roam",               // a station moved APs with its session intact
+		"handoff_ok",         // outbound transfer acknowledged by the peer
+		"handoff_retry",      // an outbound transfer attempt was retried
+		"handoff_abandoned",  // retries exhausted; peer gets a cold session
+		"handoff_in",         // inbound transfer installed
+		"handoff_dup",        // inbound transfer replay suppressed by its ID
+		"wal_replay",         // WAL records replayed at startup
+		"wal_torn",           // a torn WAL tail was truncated at startup
+		"snapshot_restore",   // sessions restored from the startup snapshot
+		"wal_append_failed",  // WAL appends that failed; the state stays in memory
+		"wal_compact_failed", // snapshot compactions that failed; the WAL is kept
 	}
 }
 
@@ -316,7 +324,7 @@ func Start(cfg Config) (*Server, error) {
 		queryHist: cfg.Registry.Histogram("sicschedd_query_seconds",
 			"end-to-end SCHED latency (table snapshot + degradation ladder)",
 			obs.DefLatencyBuckets(), nil),
-		table:    newClientTable(cfg.TTL, cfg.MaxClients, cfg.MaxAPs),
+		policy:   session.Policy{TTL: cfg.TTL, MaxClients: cfg.MaxClients, MaxAPs: cfg.MaxAPs},
 		started:  cfg.now(),
 		udp:      udp,
 		tcp:      tcp,
@@ -337,7 +345,7 @@ func Start(cfg Config) (*Server, error) {
 		"session lifecycle: recovery, resume/roam, handoff outcomes", "event",
 		sessionEventNames()...)
 	s.recoveryHist = cfg.Registry.Histogram("sicschedd_recovery_seconds",
-		"startup session recovery time (snapshot load + WAL replay + table restore)",
+		"startup session recovery time (snapshot load + WAL replay)",
 		obs.DefLatencyBuckets(), nil)
 
 	var seed [16]byte
@@ -350,9 +358,8 @@ func Start(cfg Config) (*Server, error) {
 	s.jitter = rand.New(rand.NewSource(int64(s.transferBase)))
 	s.instance = fmt.Sprintf("%016x", binary.BigEndian.Uint64(seed[8:]))
 
-	// Recover the durable session layer and rebuild the scheduling table
-	// from it, so the first post-restart SCHED answers with pre-crash
-	// context.
+	// Recover the durable session layer: the first post-restart SCHED reads
+	// the recovered sessions directly, so it answers with pre-crash context.
 	recoverStart := cfg.now()
 	s.sessions, err = session.Open(session.Config{
 		Dir:           cfg.DataDir,
@@ -373,9 +380,6 @@ func Start(cfg Config) (*Server, error) {
 		s.sessionEvents.Inc("wal_torn")
 	}
 	if cfg.DataDir != "" {
-		for _, st := range s.sessions.Sessions() {
-			s.table.restore(st.Station, st.AP, st.SNRMilliDB, st.Seq, time.Unix(0, st.LastSeen))
-		}
 		s.recoveryHist.Observe(cfg.now().Sub(recoverStart).Seconds())
 	}
 
@@ -406,9 +410,9 @@ func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 // quantile reporting at drain time.
 func (s *Server) LadderHist(l Level) *obs.Histogram { return s.ladderHist[l] }
 
-// Occupancy reports the current AP and client table sizes (fresh entries
-// only).
-func (s *Server) Occupancy() (aps, clients int) { return s.table.occupancy(s.cfg.now()) }
+// Occupancy reports the APs holding a fresh station and the stations they
+// schedule.
+func (s *Server) Occupancy() (aps, clients int) { return s.sessions.Occupancy(s.cfg.now(), s.policy) }
 
 // SessionEvents exposes the session-lifecycle counters (resume, roam,
 // handoff outcomes, recovery).
@@ -428,7 +432,7 @@ func (s *Server) Session(station uint32) (session.State, bool) { return s.sessio
 func (s *Server) PlannerEvents() *obs.Group { return s.plannerEvents }
 
 // plannerFor returns the AP's planner slot, creating it on first use. The
-// map is bounded by the same MaxAPs budget as the client table; past it an
+// map is bounded by the same MaxAPs budget as the APs served; past it an
 // arbitrary planner is evicted — losing only warm-start state, never
 // correctness.
 func (s *Server) plannerFor(ap uint32) *apPlanner {
@@ -486,7 +490,7 @@ func (s *Server) readLoop() {
 }
 
 // decodeLoop drains the ingest queue: decode, count the reject reason or
-// fold the report into the client table.
+// fold the report into the session store.
 func (s *Server) decodeLoop() {
 	defer s.wg.Done()
 	if s.cfg.holdIngest != nil {
@@ -521,34 +525,15 @@ func (s *Server) ingest(pkt []byte) {
 		s.counters.Inc(DropReason(err))
 		return
 	}
-	now := s.cfg.now()
-	switch s.table.upsert(r, now) {
-	case upsertOK:
-		s.counters.Inc("reports_ok")
-	case upsertDuplicate:
+	o := session.Obs{Station: r.Station, AP: r.AP, Seq: r.Seq, SNRMilliDB: r.SNRMilliDB, At: s.cfg.now()}
+	res := s.sessions.Admit(o, s.policy)
+	switch res.Outcome {
+	case session.OutcomeStale:
 		s.counters.Inc("drop_duplicate")
 		return
-	case upsertEvicted:
-		s.counters.Inc("reports_ok")
-		s.counters.Inc("table_evictions")
-	case upsertAPsFull:
+	case session.OutcomeRefused:
 		s.counters.Inc("drop_aps_full")
 		return
-	}
-	// Accepted reports feed the durable session layer; a roam cleans up
-	// the station's entry at the AP it left so it is never scheduled in
-	// two cells at once.
-	res := s.sessions.Observe(session.Obs{
-		Station:    r.Station,
-		AP:         r.AP,
-		Seq:        r.Seq,
-		SNRMilliDB: r.SNRMilliDB,
-		At:         now,
-	})
-	if res.Roamed {
-		s.table.remove(res.PrevAP, r.Station)
-	}
-	switch res.Outcome {
 	case session.OutcomeNew:
 		s.sessionEvents.Inc("cold")
 	case session.OutcomeResume:
@@ -556,6 +541,22 @@ func (s *Server) ingest(pkt []byte) {
 	case session.OutcomeRoam:
 		s.sessionEvents.Inc("roam")
 	}
+	s.counters.Inc("reports_ok")
+	if res.Displaced {
+		s.counters.Inc("table_evictions")
+	}
+	s.syncWALFailures()
+}
+
+// syncWALFailures adds the session store's absorbed WAL failures not yet
+// counted to the session counters.
+func (s *Server) syncWALFailures() {
+	s.walMu.Lock()
+	defer s.walMu.Unlock()
+	appendFailed, compactFailed := s.sessions.WALFailures()
+	s.sessionEvents.Add("wal_append_failed", appendFailed-s.walSeen[0])
+	s.sessionEvents.Add("wal_compact_failed", compactFailed-s.walSeen[1])
+	s.walSeen = [2]int64{appendFailed, compactFailed}
 }
 
 // acceptLoop accepts query connections.
@@ -610,7 +611,7 @@ func (s *Server) armRead(conn net.Conn) bool {
 // handleConn serves newline-delimited commands on one connection:
 //
 //	SCHED <apID>            -> one-line JSON schedule (or error) for the AP
-//	HEALTH                  -> one-line JSON counters + table occupancy
+//	HEALTH                  -> one-line JSON counters + AP/client occupancy
 //	HANDOFF <base64>        -> install a session transferred from a peer
 //	MOVE <station> <addr>   -> hand this station's session off to a peer
 //	EPOCH <n>               -> record the gateway's ring epoch (monotonic)
@@ -621,6 +622,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	enc := json.NewEncoder(conn)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 4096), 4096)
+	bad := func(msg string) {
+		s.counters.Inc("query_bad")
+		enc.Encode(errorResponse{Error: msg})
+	}
 	for {
 		if !s.armRead(conn) {
 			enc.Encode(errorResponse{Error: "shutting down"})
@@ -643,7 +648,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		case "HEALTH":
 			s.counters.Inc("health_queries")
-			aps, clients := s.table.occupancy(s.cfg.now())
+			aps, clients := s.Occupancy()
 			enc.Encode(healthResponse{
 				UptimeMS:  s.cfg.now().Sub(s.started).Milliseconds(),
 				APs:       aps,
@@ -656,14 +661,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			})
 		case "EPOCH":
 			if len(fields) != 2 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: EPOCH <n>"})
+				bad("usage: EPOCH <n>")
 				continue
 			}
 			epoch, err := strconv.ParseUint(fields[1], 10, 64)
 			if err != nil {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "bad epoch: " + fields[1]})
+				bad("bad epoch: " + fields[1])
 				continue
 			}
 			// Epochs only advance: a delayed push from a gateway that
@@ -681,21 +684,18 @@ func (s *Server) handleConn(conn net.Conn) {
 			enc.Encode(epochResponse{RingEpoch: s.ringEpoch.Load()})
 		case "HANDOFF":
 			if len(fields) != 2 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: HANDOFF <base64 transfer>"})
+				bad("usage: HANDOFF <base64 transfer>")
 				continue
 			}
 			enc.Encode(s.serveHandoff(fields[1]))
 		case "MOVE":
 			if len(fields) != 3 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: MOVE <station> <host:port>"})
+				bad("usage: MOVE <station> <host:port>")
 				continue
 			}
 			sta, err := strconv.ParseUint(fields[1], 10, 32)
 			if err != nil {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "bad station id: " + fields[1]})
+				bad("bad station id: " + fields[1])
 				continue
 			}
 			transfer, err := s.Handoff(s.baseCtx, uint32(sta), fields[2])
@@ -706,20 +706,17 @@ func (s *Server) handleConn(conn net.Conn) {
 			enc.Encode(moveResponse{Station: uint32(sta), Transfer: fmt.Sprintf("%016x", transfer)})
 		case "SCHED":
 			if len(fields) != 2 {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "usage: SCHED <apID>"})
+				bad("usage: SCHED <apID>")
 				continue
 			}
 			ap, err := strconv.ParseUint(fields[1], 10, 32)
 			if err != nil {
-				s.counters.Inc("query_bad")
-				enc.Encode(errorResponse{Error: "bad AP id: " + fields[1]})
+				bad("bad AP id: " + fields[1])
 				continue
 			}
 			enc.Encode(s.serveSched(uint32(ap)))
 		default:
-			s.counters.Inc("query_bad")
-			enc.Encode(errorResponse{Error: "unknown command " + fields[0]})
+			bad("unknown command " + fields[0])
 		}
 	}
 }
@@ -803,13 +800,12 @@ func (s *Server) serveHandoff(b64 string) any {
 		s.counters.Inc("query_bad")
 		return errorResponse{Error: err.Error()}
 	}
-	now := s.cfg.now()
-	applied := s.sessions.ApplyHandoff(transfer, st, now)
+	applied := s.sessions.ApplyHandoff(transfer, st, s.cfg.now())
+	// An applied hand-in is schedulable here immediately, carrying the
+	// peer's freshness so TTL semantics are unchanged.
 	if applied {
 		s.sessionEvents.Inc("handoff_in")
-		// The handed-in station becomes schedulable here immediately,
-		// carrying the peer's freshness so TTL semantics are unchanged.
-		s.table.restore(st.Station, st.AP, st.SNRMilliDB, st.Seq, time.Unix(0, st.LastSeen))
+		s.syncWALFailures()
 	} else {
 		s.sessionEvents.Inc("handoff_dup")
 	}
@@ -831,7 +827,7 @@ func (s *Server) serveSched(ap uint32) any {
 	defer s.inflight.Add(-1)
 
 	start := s.cfg.now()
-	clients, ids := s.table.snapshot(ap, start)
+	clients, ids := s.sessions.Clients(ap, start, s.policy)
 	if len(clients) == 0 {
 		s.counters.Inc("served_empty")
 		return errorResponse{Error: fmt.Sprintf("no fresh reports for ap %d", ap)}
@@ -895,14 +891,15 @@ func (s *Server) serveSched(ap uint32) any {
 		}
 		resp.Slots = append(resp.Slots, out)
 	}
+	s.syncWALFailures()
 	return resp
 }
 
 // Shutdown stops the daemon gracefully: ingest sockets close, the queued
-// datagrams already accepted are flushed into the table, in-flight queries
-// run to completion, and idle connections are released. If ctx expires
-// before the drain completes, remaining connections are force-closed. The
-// counters survive shutdown for a final flush.
+// datagrams already accepted are flushed into the session store, in-flight
+// queries run to completion, and idle connections are released. If ctx
+// expires before the drain completes, remaining connections are
+// force-closed. The counters survive shutdown for a final flush.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closing.Swap(true) {
 		return errors.New("schedd: already shut down")

@@ -201,8 +201,8 @@ func TestServerDropsMalformedDatagrams(t *testing.T) {
 	waitCounter(t, s, "reports_ok", 1)
 	waitCounter(t, s, "drop_duplicate", 1)
 
-	if aps, clients := s.table.occupancy(time.Now()); aps != 1 || clients != 1 {
-		t.Fatalf("table occupancy %d/%d, want 1/1", aps, clients)
+	if aps, clients := s.Occupancy(); aps != 1 || clients != 1 {
+		t.Fatalf("occupancy %d/%d, want 1/1", aps, clients)
 	}
 }
 
@@ -226,13 +226,17 @@ func TestServerShedsOldestUnderQueuePressure(t *testing.T) {
 
 	close(hold)
 	waitCounter(t, s, "reports_ok", 4)
-	_, ids := s.table.snapshot(1, time.Now())
-	if len(ids) != 4 {
-		t.Fatalf("table has %d clients, want the 4 newest", len(ids))
+	c := dialQuery(t, s)
+	defer c.close()
+	resp := c.roundTrip(t, "SCHED 1")
+	if got := resp["clients"]; got != 4.0 {
+		t.Fatalf("SCHED 1 has %v clients, want the 4 newest (reply %v)", got, resp)
 	}
-	for _, id := range ids {
-		if id <= 6 {
-			t.Fatalf("old report for station %d survived oldest-first shedding (ids %v)", id, ids)
+	for _, slot := range resp["slots"].([]any) {
+		for _, key := range []string{"a", "b"} {
+			if id, ok := slot.(map[string]any)[key].(float64); ok && id <= 6 {
+				t.Fatalf("old report for station %v survived oldest-first shedding (reply %v)", id, resp)
+			}
 		}
 	}
 }

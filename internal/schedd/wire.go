@@ -1,7 +1,7 @@
 // Package schedd implements the live SIC scheduling service: a long-lived
-// daemon that ingests client RSSI reports over UDP, maintains a bounded
-// per-AP client table, and answers schedule queries over TCP under a hard
-// per-query deadline.
+// daemon that ingests client RSSI reports over UDP into the session store
+// (internal/session, indexed per AP and bounded by the daemon's policy),
+// and answers schedule queries over TCP under a hard per-query deadline.
 //
 // Robustness is the design headline, in three layers:
 //

@@ -1,10 +1,13 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/atomicio"
@@ -80,13 +83,17 @@ type RecoveryStats struct {
 	WALTorn bool
 }
 
-// Manager owns the durable session table. All methods are safe for
-// concurrent use. The manager reads no clocks; callers pass timestamps.
+// Manager owns the durable session table and the per-AP index the
+// scheduler reads from it. All methods are safe for concurrent use. The
+// manager reads no clocks; callers pass timestamps.
 type Manager struct {
 	cfg Config
 
 	mu       sync.Mutex
-	sessions map[uint32]*State
+	sessions map[uint32]*entry
+	// byAP indexes sessions by their current AP, each slice sorted by
+	// station ID; see index.go.
+	byAP map[uint32][]*entry
 	// transfers is the applied-transfer dedup set, each ID mapped to its
 	// admit time (Unix nanos); order is its FIFO eviction queue. Entries
 	// are evicted by age (TransferTTL) and by size (MaxTransfers), each
@@ -97,6 +104,10 @@ type Manager struct {
 	log              *atomicio.Log // nil when persistence is off
 	dirty            int           // WAL appends since last snapshot
 	recovery         RecoveryStats
+	// appendFailed and compactFailed count WAL errors the manager absorbs
+	// to keep serving from memory; atomic so WALFailures needs no lock.
+	appendFailed  atomic.Int64
+	compactFailed atomic.Int64
 }
 
 // TransferEvictions counts dedup-set evictions by cause.
@@ -121,7 +132,8 @@ func Open(cfg Config, now time.Time) (*Manager, error) {
 	cfg.fillDefaults()
 	m := &Manager{
 		cfg:       cfg,
-		sessions:  make(map[uint32]*State),
+		sessions:  make(map[uint32]*entry),
+		byAP:      make(map[uint32][]*entry),
 		transfers: make(map[uint64]int64),
 	}
 	if cfg.Dir == "" {
@@ -137,9 +149,8 @@ func Open(cfg Config, now time.Time) (*Manager, error) {
 		if derr != nil {
 			m.recovery.SnapshotCorrupt = true
 		} else {
-			for i := range states {
-				st := states[i]
-				m.sessions[st.Station] = &st
+			for _, st := range states {
+				m.putLocked(st)
 			}
 			// The snapshot stores IDs without admit times; restored entries
 			// age from the recovery timestamp, so they are deduplicated for
@@ -213,14 +224,26 @@ func (m *Manager) replayLocked(rec walRecord) {
 	}
 }
 
-// Observe feeds one accepted report through the session table, returning
-// what it meant for the station's session. Applied observations are logged
-// to the WAL before Observe returns.
-func (m *Manager) Observe(o Obs) Result {
+// Observe feeds one report through the session table with no serving
+// policy, returning what it meant for the station's session. It is Admit
+// under the zero Policy.
+func (m *Manager) Observe(o Obs) Result { return m.Admit(o, Policy{}) }
+
+// Admit feeds one report through the session table under the serving
+// policy p. A report that would add an AP past p.MaxAPs is refused
+// (OutcomeRefused) and changes nothing. Applied observations are logged to
+// the WAL under the same lock that guards the AP index, so no reader sees
+// one before it is logged.
+func (m *Manager) Admit(o Obs, p Policy) Result {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.apsFullLocked(o.AP, o.At.UnixNano(), p) {
+		return Result{Outcome: OutcomeRefused}
+	}
+	displaces := m.displacesLocked(o, p)
 	res := m.applyObsLocked(o)
 	if res.Outcome != OutcomeStale {
+		res.Displaced = displaces
 		m.appendLocked(encodeObsRecord(o))
 	}
 	return res
@@ -229,53 +252,53 @@ func (m *Manager) Observe(o Obs) Result {
 // applyObsLocked is the shared live/replay observation path.
 func (m *Manager) applyObsLocked(o Obs) Result {
 	at := o.At.UnixNano()
-	st, ok := m.sessions[o.Station]
+	e, ok := m.sessions[o.Station]
 	if !ok {
-		if len(m.sessions) >= m.cfg.MaxSessions {
-			m.evictOldestLocked()
-		}
-		st = &State{
+		e = m.putLocked(State{
 			Station:    o.Station,
 			AP:         o.AP,
 			Seq:        o.Seq,
 			SNRMilliDB: o.SNRMilliDB,
 			FirstSeen:  at,
 			LastSeen:   at,
-		}
-		m.pushHistoryLocked(st, o.SNRMilliDB, at)
-		m.sessions[o.Station] = st
+		})
+		m.pushHistoryLocked(&e.State, o.SNRMilliDB, at)
 		return Result{Outcome: OutcomeNew}
 	}
-	if at < st.LastSeen {
+	if at < e.LastSeen {
 		return Result{Outcome: OutcomeStale}
 	}
-	adv, reset := SeqAdvance(st.Seq, o.Seq)
-	roamed := o.AP != st.AP
+	adv, reset := SeqAdvance(e.Seq, o.Seq)
+	roamed := o.AP != e.AP
 	if !adv && !roamed {
 		return Result{Outcome: OutcomeStale}
 	}
-	res := Result{PrevAP: st.AP, Roamed: roamed}
-	gap := at - st.LastSeen
+	var res Result
+	gap := at - e.LastSeen
 	switch {
 	case reset:
-		st.Epoch++
-		st.Resumes++
+		e.Epoch++
+		e.Resumes++
 		res.Outcome = OutcomeResume
 	case roamed:
 		res.Outcome = OutcomeRoam
 	case gap > int64(m.cfg.ResumeGap):
-		st.Resumes++
+		e.Resumes++
 		res.Outcome = OutcomeResume
 	default:
 		res.Outcome = OutcomeAdvance
 	}
 	if adv {
-		st.Seq = o.Seq
+		e.Seq = o.Seq
 	}
-	st.AP = o.AP
-	st.SNRMilliDB = o.SNRMilliDB
-	st.LastSeen = at
-	m.pushHistoryLocked(st, o.SNRMilliDB, at)
+	if roamed {
+		m.unlinkLocked(e)
+		e.AP = o.AP
+		m.linkLocked(e)
+	}
+	e.setSNR(o.SNRMilliDB)
+	e.LastSeen = at
+	m.pushHistoryLocked(&e.State, o.SNRMilliDB, at)
 	return res
 }
 
@@ -289,15 +312,14 @@ func (m *Manager) pushHistoryLocked(st *State, snrMilliDB int32, at int64) {
 // evictOldestLocked drops the session with the oldest LastSeen to admit a
 // new station into a full table.
 func (m *Manager) evictOldestLocked() {
-	var victim uint32
-	oldest := int64(1<<63 - 1)
-	for id, st := range m.sessions {
-		if st.LastSeen < oldest || (st.LastSeen == oldest && id < victim) {
-			oldest = st.LastSeen
-			victim = id
+	var victim *entry
+	for _, e := range m.sessions {
+		if victim == nil || e.LastSeen < victim.LastSeen ||
+			(e.LastSeen == victim.LastSeen && e.Station < victim.Station) {
+			victim = e
 		}
 	}
-	delete(m.sessions, victim)
+	m.dropLocked(victim)
 }
 
 // NotePairing records the scheduler's latest verdict for a station: who it
@@ -341,10 +363,11 @@ func (m *Manager) applyRemoveLocked(station uint32, transfer uint64, at int64) b
 		return false
 	}
 	m.noteTransferLocked(transfer, at)
-	if _, ok := m.sessions[station]; !ok {
+	e, ok := m.sessions[station]
+	if !ok {
 		return false
 	}
-	delete(m.sessions, station)
+	m.dropLocked(e)
 	return true
 }
 
@@ -357,8 +380,7 @@ func (m *Manager) ApplyHandoff(transfer uint64, in State, at time.Time) (applied
 	if !m.applyHandinLocked(transfer, in, true, at.UnixNano()) {
 		return false
 	}
-	st := m.sessions[in.Station]
-	m.appendLocked(encodeHandinRecord(transfer, at.UnixNano(), st))
+	m.appendLocked(encodeHandinRecord(transfer, at.UnixNano(), &m.sessions[in.Station].State))
 	return true
 }
 
@@ -367,16 +389,14 @@ func (m *Manager) applyHandinLocked(transfer uint64, in State, bump bool, at int
 		return false
 	}
 	m.noteTransferLocked(transfer, at)
-	if cur, ok := m.sessions[in.Station]; ok && cur.LastSeen > in.LastSeen {
-		// The station already reported here with fresher state than the
-		// peer is sending; the transfer is consumed but the newer local
-		// session wins.
-		return false
-	}
-	if len(m.sessions) >= m.cfg.MaxSessions {
-		if _, ok := m.sessions[in.Station]; !ok {
-			m.evictOldestLocked()
+	if cur, ok := m.sessions[in.Station]; ok {
+		if cur.LastSeen > in.LastSeen {
+			// The station already reported here with fresher state than
+			// the peer is sending; the transfer is consumed but the newer
+			// local session wins.
+			return false
 		}
+		m.dropLocked(cur)
 	}
 	st := in.clone()
 	if bump {
@@ -385,7 +405,7 @@ func (m *Manager) applyHandinLocked(transfer uint64, in State, bump bool, at int
 	if n := len(st.History) - m.cfg.HistoryLen; n > 0 {
 		st.History = st.History[n:]
 	}
-	m.sessions[in.Station] = &st
+	m.putLocked(st)
 	return true
 }
 
@@ -424,11 +444,11 @@ func (m *Manager) Transfers() (live int, evicted TransferEvictions) {
 func (m *Manager) Get(station uint32) (State, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st, ok := m.sessions[station]
+	e, ok := m.sessions[station]
 	if !ok {
 		return State{}, false
 	}
-	return st.clone(), true
+	return e.clone(), true
 }
 
 // Sessions returns copies of every session, sorted by station ID.
@@ -440,14 +460,10 @@ func (m *Manager) Sessions() []State {
 
 func (m *Manager) sessionsLocked() []State {
 	out := make([]State, 0, len(m.sessions))
-	for _, st := range m.sessions {
-		out = append(out, st.clone())
+	for _, e := range m.sessions {
+		out = append(out, e.clone())
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Station > out[j].Station; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b State) int { return cmp.Compare(a.Station, b.Station) })
 	return out
 }
 
@@ -459,21 +475,31 @@ func (m *Manager) Len() int {
 }
 
 // appendLocked writes one WAL record and compacts at the configured
-// cadence. WAL errors are deliberately swallowed after marking the log
-// broken — an in-memory session layer that keeps scheduling beats a daemon
-// that fails reports because a disk filled.
+// cadence. WAL errors are counted (WALFailures) and otherwise absorbed —
+// an in-memory session layer that keeps scheduling beats a daemon that
+// fails reports because a disk filled.
 func (m *Manager) appendLocked(payload []byte) {
 	if m.log == nil {
 		return
 	}
 	if err := m.log.Append(payload); err != nil {
+		m.appendFailed.Add(1)
 		return
 	}
 	m.dirty++
 	if m.dirty >= m.cfg.SnapshotEvery {
-		// A failed compaction keeps the WAL; nothing is lost.
-		_ = m.compactLocked()
+		// A failed compaction keeps the WAL; nothing is lost, and the next
+		// append retries it.
+		if err := m.compactLocked(); err != nil {
+			m.compactFailed.Add(1)
+		}
 	}
+}
+
+// WALFailures reports the WAL appends and cadence compactions that failed
+// and were absorbed since Open.
+func (m *Manager) WALFailures() (appendFailed, compactFailed int64) {
+	return m.appendFailed.Load(), m.compactFailed.Load()
 }
 
 // compactLocked writes the snapshot atomically, then resets the WAL. A

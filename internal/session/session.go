@@ -1,11 +1,12 @@
-// Package session is the durable client-session layer under the scheduling
-// daemon. The daemon's client table is a bounded, evicting cache of "who is
-// schedulable right now"; this package holds what must outlive it: per-
-// station identity keyed by station ID (stable across address changes and
-// reconnects), the report history and sequence epoch a reconnecting client
-// resumes instead of starting cold, the last pairing outcome, and — when a
-// data directory is configured — a crash-safe snapshot+WAL persistence
-// scheme so a restarted daemon answers queries with pre-crash context.
+// Package session is the one store of per-station state under the
+// scheduling daemon: per-station identity keyed by station ID (stable
+// across address changes and reconnects), the report history and sequence
+// epoch a reconnecting client resumes instead of starting cold, the last
+// pairing outcome, and — when a data directory is configured — a
+// crash-safe snapshot+WAL persistence scheme so a restarted daemon answers
+// queries with pre-crash context. The manager also indexes sessions by AP,
+// so "who is schedulable at this AP right now" is a read of the same map
+// under a caller-supplied Policy (freshness TTL, per-AP and AP budgets).
 //
 // Persistence contract: every accepted observation is appended to a
 // checksummed, length-prefixed write-ahead log (atomicio.Log) as soon as it
@@ -127,30 +128,24 @@ const (
 	// OutcomeRoam: the station moved to a different AP with its sequence
 	// intact; scheduling context followed it.
 	OutcomeRoam
+	// OutcomeRefused: the report would have added an AP past the serving
+	// policy's MaxAPs; nothing was recorded.
+	OutcomeRefused
 )
+
+var outcomeNames = [...]string{"stale", "new", "advance", "resume", "roam", "refused"}
 
 // String implements fmt.Stringer.
 func (o Outcome) String() string {
-	switch o {
-	case OutcomeStale:
-		return "stale"
-	case OutcomeNew:
-		return "new"
-	case OutcomeAdvance:
-		return "advance"
-	case OutcomeResume:
-		return "resume"
-	case OutcomeRoam:
-		return "roam"
+	if o < 0 || int(o) >= len(outcomeNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return outcomeNames[o]
 }
 
-// Result is Observe's full verdict. PrevAP and Roamed let the caller clean
-// up the station's entry at the AP it left, whatever the headline Outcome
-// (a reboot can coincide with a move).
+// Result is Admit's full verdict. Displaced is set when the admission
+// pushed another station out of its AP's served set (Policy.MaxClients).
 type Result struct {
-	Outcome Outcome
-	PrevAP  uint32
-	Roamed  bool
+	Outcome   Outcome
+	Displaced bool
 }

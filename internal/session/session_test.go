@@ -64,10 +64,15 @@ func TestObserveLifecycle(t *testing.T) {
 	if r := m.Observe(obs(7, 1, 11, 12_500, t0.Add(2*time.Second))); r.Outcome != OutcomeStale {
 		t.Fatalf("replay outcome = %v", r.Outcome)
 	}
-	// Move to AP 2: roam, previous AP reported for cleanup.
-	r := m.Observe(obs(7, 2, 12, 9_000, t0.Add(3*time.Second)))
-	if r.Outcome != OutcomeRoam || !r.Roamed || r.PrevAP != 1 {
+	// Move to AP 2: roam, and the AP index follows the station.
+	if r := m.Observe(obs(7, 2, 12, 9_000, t0.Add(3*time.Second))); r.Outcome != OutcomeRoam {
 		t.Fatalf("roam = %+v", r)
+	}
+	if _, ids := m.Clients(1, t0.Add(3*time.Second), Policy{}); len(ids) != 0 {
+		t.Fatalf("roamed station still indexed at its old AP: %v", ids)
+	}
+	if _, ids := m.Clients(2, t0.Add(3*time.Second), Policy{}); len(ids) != 1 || ids[0] != 7 {
+		t.Fatalf("roamed station not indexed at its new AP: %v", ids)
 	}
 	// Reboot: seq falls back inside the reset window.
 	if r := m.Observe(obs(7, 2, 1, 9_100, t0.Add(4*time.Second))); r.Outcome != OutcomeResume {
@@ -494,5 +499,40 @@ func TestTransferDedupAgesFromRecovery(t *testing.T) {
 	defer m2.Close()
 	if m2.ApplyHandoff(9, handin(9, t0), t0.Add(time.Hour+30*time.Second)) {
 		t.Fatal("restored transfer ID no longer deduplicates after restart")
+	}
+}
+
+// TestWALFailuresCounted: WAL errors the manager absorbs to keep serving
+// from memory are counted, not hidden.
+func TestWALFailuresCounted(t *testing.T) {
+	dir := t.TempDir()
+	m := mustOpen(t, Config{Dir: dir, SnapshotEvery: 1})
+	// A directory where the snapshot belongs makes every compaction's
+	// rename fail; the appends themselves still land.
+	snap := filepath.Join(dir, snapshotName)
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(snap, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m.Observe(obs(1, 1, 1, 10_000, t0))
+	if a, c := m.WALFailures(); a != 0 || c != 1 {
+		t.Fatalf("after a failed compaction: (append %d, compact %d), want (0, 1)", a, c)
+	}
+	// Close the log under the manager: appends now fail, and the report is
+	// still applied in memory.
+	if err := m.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r := m.Observe(obs(2, 1, 1, 10_000, t0.Add(time.Second))); r.Outcome != OutcomeNew {
+		t.Fatalf("outcome = %v, want new", r.Outcome)
+	}
+	m.NotePairing(2, 1, 0, t0.Add(time.Second))
+	if a, c := m.WALFailures(); a != 2 || c != 1 {
+		t.Fatalf("after a closed log: (append %d, compact %d), want (2, 1)", a, c)
+	}
+	if m.Len() != 2 {
+		t.Fatalf("len = %d, want 2", m.Len())
 	}
 }
